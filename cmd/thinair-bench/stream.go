@@ -29,8 +29,10 @@ import (
 // consumption model (bulk chunked body vs request-per-key).
 
 type streamBenchReport struct {
-	GOOS   string `json:"goos"`
-	GOARCH string `json:"goarch"`
+	GOOS     string `json:"goos"`
+	GOARCH   string `json:"goarch"`
+	NumCPU   int    `json:"num_cpu"`
+	MaxProcs int    `json:"gomaxprocs"`
 
 	// The session shape behind both arms.
 	Terminals    int     `json:"terminals"`
@@ -105,6 +107,7 @@ func streamBench(out string) {
 
 	rep := streamBenchReport{
 		GOOS: runtime.GOOS, GOARCH: runtime.GOARCH,
+		NumCPU: runtime.NumCPU(), MaxProcs: runtime.GOMAXPROCS(0),
 		Terminals: spec.Terminals, Erasure: spec.Erasure,
 		XPerRound: spec.XPerRound, PayloadBytes: spec.PayloadBytes,
 		StreamBlock:     spec.StreamBlock,

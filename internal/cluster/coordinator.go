@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/keystream"
 	"repro/internal/obs"
 	"repro/internal/service"
 )
@@ -128,6 +129,11 @@ type clusterSession struct {
 	state     string
 	reassigns int
 	placedAt  time.Time
+	// derivation is the keystream.DerivationVersion the session's bytes
+	// were derived under; failure says why a failed session failed, when
+	// the registry knows (both persist in the snapshot).
+	derivation int
+	failure    string
 }
 
 // workerSlot is one supervised worker position. The slot index is
@@ -303,11 +309,17 @@ func (c *Coordinator) recoverRegistry(rec *recoveredState) {
 	}
 	c.epoch.Store(rec.epoch + 1)
 	for id, ps := range rec.sessions {
-		cs := &clusterSession{id: id, spec: ps.Spec, worker: -1, reassigns: ps.Reassigns}
+		cs := &clusterSession{
+			id: id, spec: ps.Spec, worker: -1, reassigns: ps.Reassigns,
+			derivation: ps.Derivation, failure: ps.Error,
+		}
 		if ps.State == sessionFailed {
 			// Failures are permanent and survive restarts: clients keep
 			// getting the failed verdict, not a ghost of the session.
 			cs.state = sessionFailed
+			if ps.Error != "" {
+				c.cfg.Logf("cluster: session %d failed: %s", id, ps.Error)
+			}
 		} else {
 			cs.state = sessionOrphaned
 		}
@@ -384,6 +396,7 @@ func (c *Coordinator) persistStateLocked() persistState {
 		ps.Sessions = append(ps.Sessions, persistedSession{
 			ID: cs.id, Spec: cs.spec, Worker: cs.worker,
 			State: cs.state, Reassigns: cs.reassigns,
+			Derivation: cs.derivation, Error: cs.failure,
 		})
 	}
 	for _, sl := range c.slots {
@@ -810,9 +823,9 @@ func (c *Coordinator) Create(spec service.SessionSpec) (SessionInfo, error) {
 	// Born already claimed (placing, not orphaned): a concurrent
 	// placeOrphans pass must never see — and race Create for — a session
 	// whose first placement is still in flight.
-	cs := &clusterSession{id: id, spec: spec, worker: -1, state: sessionPlacing}
+	cs := &clusterSession{id: id, spec: spec, worker: -1, state: sessionPlacing, derivation: keystream.DerivationVersion}
 	c.sessions[id] = cs
-	c.journalLocked(journalRecord{Op: jopCreate, ID: id, Spec: &spec})
+	c.journalLocked(journalRecord{Op: jopCreate, ID: id, Spec: &spec, Derivation: keystream.DerivationVersion})
 	c.mu.Unlock()
 
 	// On error the claim is released straight to sessionClosed — never
@@ -890,6 +903,9 @@ func (c *Coordinator) routeKeyRead(cid uint64, call func(*WorkerClient) ([]byte,
 	}
 	if client == nil {
 		if state == sessionFailed {
+			if cs.failure != "" {
+				return nil, fmt.Errorf("session %d failed: %s: %w", cid, cs.failure, service.ErrFailed)
+			}
 			return nil, fmt.Errorf("session %d died permanently: %w", cid, service.ErrFailed)
 		}
 		return nil, fmt.Errorf("%w: session %d", ErrOrphaned, cid)

@@ -12,6 +12,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/keystream"
 	"repro/internal/service"
 )
 
@@ -28,7 +29,7 @@ import (
 // Journal record ops. The record set is deliberately small: everything
 // needed to rebuild the registry, nothing derivable from it.
 const (
-	jopCreate = "create" // session admitted: ID, Spec (carries the seed)
+	jopCreate = "create" // session admitted: ID, Spec (carries the seed), Derivation
 	jopPlace  = "place"  // session assigned: ID, Slot, Reassign
 	jopClose  = "close"  // session left the registry: ID
 	jopFail   = "fail"   // session died permanently: ID
@@ -48,15 +49,22 @@ type journalRecord struct {
 	URL      string               `json:"url,omitempty"`
 	PID      int                  `json:"pid,omitempty"`
 	Epoch    uint64               `json:"epoch"`
+	// Derivation is the keystream.DerivationVersion a create record's
+	// session derives its bytes under; records written before the field
+	// existed read as 0.
+	Derivation int `json:"derivation,omitempty"`
 }
 
 // persistedSession is one registry entry in the snapshot.
 type persistedSession struct {
-	ID        uint64              `json:"id"`
-	Spec      service.SessionSpec `json:"spec"`
-	Worker    int                 `json:"worker"`
-	State     string              `json:"state"`
-	Reassigns int                 `json:"reassigns"`
+	ID         uint64              `json:"id"`
+	Spec       service.SessionSpec `json:"spec"`
+	Worker     int                 `json:"worker"`
+	State      string              `json:"state"`
+	Reassigns  int                 `json:"reassigns"`
+	Derivation int                 `json:"derivation"`
+	// Error says why a failed session failed, when the registry knows.
+	Error string `json:"error,omitempty"`
 }
 
 // persistedWorker is one worker slot in the snapshot.
@@ -123,6 +131,7 @@ func (rs *recoveredState) apply(rec journalRecord) {
 		}
 		rs.sessions[rec.ID] = &persistedSession{
 			ID: rec.ID, Spec: *rec.Spec, Worker: -1, State: sessionPlacing,
+			Derivation: rec.Derivation,
 		}
 		if rec.ID >= rs.nextID {
 			rs.nextID = rec.ID + 1
@@ -161,6 +170,23 @@ func (rs *recoveredState) apply(rec journalRecord) {
 			w.Alive = false
 			w.Retired = true
 		}
+	}
+}
+
+// refuseForeignDerivations fails every session recorded under another
+// keystream derivation version. Its offsets were served under that
+// version; re-deriving them here, on a respawned worker, would silently
+// hand out different bytes at the same offsets. Failed is permanent and
+// says so, which is the honest outcome.
+func (rs *recoveredState) refuseForeignDerivations() {
+	for _, s := range rs.sessions {
+		if s.State == sessionFailed || s.Derivation == keystream.DerivationVersion {
+			continue
+		}
+		s.State = sessionFailed
+		s.Worker = -1
+		s.Error = fmt.Sprintf("recorded under keystream derivation version %d; this build derives version %d",
+			s.Derivation, keystream.DerivationVersion)
 	}
 }
 
@@ -235,6 +261,7 @@ func openJournal(dir string) (*journal, *recoveredState, error) {
 	if !found {
 		return j, nil, nil
 	}
+	rs.refuseForeignDerivations()
 	return j, rs, nil
 }
 

@@ -6,9 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/keystream"
 	"repro/internal/obs"
 	"repro/internal/service"
 )
@@ -37,17 +39,17 @@ func TestJournalReplay(t *testing.T) {
 	recs := []journalRecord{
 		{Op: jopWorker, Slot: 0, URL: "http://127.0.0.1:1", PID: 11, Epoch: 1},
 		{Op: jopWorker, Slot: 1, URL: "http://127.0.0.1:2", PID: 12, Epoch: 2},
-		{Op: jopCreate, ID: 1, Spec: &spec, Epoch: 2},
+		{Op: jopCreate, ID: 1, Spec: &spec, Derivation: keystream.DerivationVersion, Epoch: 2},
 		{Op: jopPlace, ID: 1, Slot: 0, Epoch: 3},
-		{Op: jopCreate, ID: 2, Spec: &spec, Epoch: 3},
+		{Op: jopCreate, ID: 2, Spec: &spec, Derivation: keystream.DerivationVersion, Epoch: 3},
 		{Op: jopPlace, ID: 2, Slot: 1, Epoch: 4},
-		{Op: jopCreate, ID: 3, Spec: &spec, Epoch: 4},
+		{Op: jopCreate, ID: 3, Spec: &spec, Derivation: keystream.DerivationVersion, Epoch: 4},
 		{Op: jopPlace, ID: 3, Slot: 1, Epoch: 5},
 		{Op: jopDown, Slot: 1, Epoch: 6},                         // orphans 2 and 3
 		{Op: jopPlace, ID: 2, Slot: 0, Reassign: true, Epoch: 7}, // re-placed
 		{Op: jopFail, ID: 3, Epoch: 8},                           // died permanently
 		{Op: jopWorker, Slot: 1, URL: "http://127.0.0.1:3", PID: 13, Epoch: 9},
-		{Op: jopCreate, ID: 4, Spec: &spec, Epoch: 9},
+		{Op: jopCreate, ID: 4, Spec: &spec, Derivation: keystream.DerivationVersion, Epoch: 9},
 		{Op: jopClose, ID: 4, Epoch: 10},
 		{Op: jopRetire, Slot: 0, Epoch: 11},
 	}
@@ -104,7 +106,7 @@ func TestJournalCompaction(t *testing.T) {
 	spec := fastSpec(7)
 	due := false
 	for i := 1; i <= snapshotEvery; i++ {
-		due = j.append(journalRecord{Op: jopCreate, ID: uint64(i), Spec: &spec, Epoch: uint64(i)})
+		due = j.append(journalRecord{Op: jopCreate, ID: uint64(i), Spec: &spec, Derivation: keystream.DerivationVersion, Epoch: uint64(i)})
 	}
 	if !due {
 		t.Fatalf("%d appends did not request compaction", snapshotEvery)
@@ -114,6 +116,7 @@ func TestJournalCompaction(t *testing.T) {
 	for i := 1; i <= snapshotEvery; i++ {
 		state.Sessions = append(state.Sessions, persistedSession{
 			ID: uint64(i), Spec: spec, Worker: -1, State: sessionPlacing,
+			Derivation: keystream.DerivationVersion,
 		})
 	}
 	j.compact(state)
@@ -142,9 +145,73 @@ func TestJournalCompaction(t *testing.T) {
 	if s := rs.sessions[3]; s == nil || s.State != sessionFailed {
 		t.Fatalf("post-snapshot journal record lost: %+v", s)
 	}
+	if s := rs.sessions[4]; s == nil || s.State != sessionPlacing {
+		t.Fatalf("snapshot session replayed wrong: %+v", s)
+	}
 	if rs.nextID != uint64(snapshotEvery+1) || rs.epoch != uint64(snapshotEvery+1) {
 		t.Fatalf("nextID/epoch wrong after compaction replay: %d/%d", rs.nextID, rs.epoch)
 	}
+}
+
+// TestJournalRefusesForeignDerivation pins the derivation-version guard.
+// A session recorded under another keystream.DerivationVersion replays
+// as failed, with an error that names both versions. This holds whether
+// the record is a snapshot entry, a journal record, or a record written
+// before the field existed. A coordinator restarted on that state
+// refuses the session instead of re-placing it and serving different
+// bytes at offsets clients already hold, and still re-places the
+// current-version session.
+func TestJournalRefusesForeignDerivation(t *testing.T) {
+	dir := t.TempDir()
+	j, _, err := openJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := fastSpec(5)
+	cur, old := keystream.DerivationVersion, keystream.DerivationVersion-1
+	j.compact(persistState{NextID: 2, Epoch: 1, Sessions: []persistedSession{
+		{ID: 1, Spec: spec, Worker: -1, State: sessionOrphaned, Derivation: old},
+	}})
+	j.append(journalRecord{Op: jopCreate, ID: 2, Spec: &spec, Derivation: old, Epoch: 2})
+	j.append(journalRecord{Op: jopCreate, ID: 3, Spec: &spec, Epoch: 3}) // predates the field
+	j.append(journalRecord{Op: jopCreate, ID: 4, Spec: &spec, Derivation: cur, Epoch: 4})
+	j.close()
+
+	_, rs, err := openJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []uint64{1, 2, 3} {
+		s := rs.sessions[id]
+		if s == nil || s.State != sessionFailed || s.Worker != -1 ||
+			!strings.Contains(s.Error, fmt.Sprintf("derives version %d", cur)) {
+			t.Fatalf("foreign-version session %d replayed as %+v, want failed with a version error", id, s)
+		}
+	}
+	if s := rs.sessions[4]; s == nil || s.State != sessionPlacing || s.Error != "" {
+		t.Fatalf("current-version session replayed as %+v", s)
+	}
+
+	c, err := New(Config{Workers: 1, HeartbeatEvery: 50 * time.Millisecond, StateDir: dir, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		sctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		defer cancel()
+		if err := c.Shutdown(sctx); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	}()
+	ctx := context.Background()
+	_, err = c.Draw(ctx, 2, 8)
+	if !errors.Is(err, service.ErrFailed) || !strings.Contains(err.Error(), fmt.Sprintf("derivation version %d", old)) {
+		t.Fatalf("draw from a foreign-version session: err = %v, want ErrFailed naming version %d", err, old)
+	}
+	waitFor(t, 60*time.Second, "current-version session to serve after restart", func() bool {
+		_, err := c.Draw(ctx, 4, 8)
+		return err == nil
+	})
 }
 
 // TestCoordinatorRestartAdoptsWorkers is the in-process restart chaos

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/eve"
-	"repro/internal/gf"
 	"repro/internal/mac"
 	"repro/internal/matrix"
 	"repro/internal/obs"
@@ -147,7 +146,7 @@ func RunSession(cfg Config, med *radio.Medium, eveNodes []radio.NodeID) (*Sessio
 		// Phase 1 step 1: transmit N x-packets, spread over the round's
 		// interference slots.
 		batch := packet.NewBatch(rng, cfg.XPerRound, cfg.PayloadBytes)
-		xSym := make([][]Sym, cfg.XPerRound)
+		xSym := XSymbols(batch)
 		recv := make([]*packet.IDSet, n)
 		for i := range recv {
 			recv[i] = packet.NewIDSet(cfg.XPerRound)
@@ -160,7 +159,6 @@ func RunSession(cfg Config, med *radio.Medium, eveNodes []radio.NodeID) (*Sessio
 			if i > 0 && i%perSlot == 0 {
 				med.AdvanceSlot()
 			}
-			xSym[i] = gf.Symbols16(pkt.Payload)
 			xh := h
 			xh.Type = wire.TypeX
 			frame := wire.Marshal(&wire.XPacket{Header: xh, Seq: uint32(pkt.ID), Payload: pkt.Payload})

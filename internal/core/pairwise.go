@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"repro/internal/eve"
-	"repro/internal/gf"
 	"repro/internal/mac"
 	"repro/internal/matrix"
 	"repro/internal/packet"
@@ -64,7 +63,7 @@ func RunPairwiseRound(cfg Config, med *radio.Medium, eveNodes []radio.NodeID) (*
 	h := wire.Header{From: uint8(leader), Session: uint32(cfg.Seed)}
 
 	batch := packet.NewBatch(rng, cfg.XPerRound, cfg.PayloadBytes)
-	xSym := make([][]Sym, cfg.XPerRound)
+	xSym := XSymbols(batch)
 	recv := make([]*packet.IDSet, n)
 	for i := range recv {
 		recv[i] = packet.NewIDSet(cfg.XPerRound)
@@ -77,7 +76,6 @@ func RunPairwiseRound(cfg Config, med *radio.Medium, eveNodes []radio.NodeID) (*
 		if i > 0 && i%perSlot == 0 {
 			med.AdvanceSlot()
 		}
-		xSym[i] = gf.Symbols16(pkt.Payload)
 		xh := h
 		xh.Type = wire.TypeX
 		frame := wire.Marshal(&wire.XPacket{Header: xh, Seq: uint32(pkt.ID), Payload: pkt.Payload})

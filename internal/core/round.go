@@ -294,7 +294,9 @@ func (pr PartialRound) Eliminate(zs []*wire.ZPacket, sa *wire.SAnnounce) ([][]Sy
 			return nil, fmt.Errorf("core: z-packet %d has odd payload length", j)
 		}
 		coeffs = append(coeffs, zp.Coeffs)
-		payloads = append(payloads, gf.Symbols16(zp.Payload))
+		zrow := sc.payload(len(zp.Payload) / 2)
+		gf.Symbols16Into(zrow, zp.Payload)
+		payloads = append(payloads, zrow)
 	}
 	sc.zc, sc.zp = coeffs, payloads
 
@@ -348,9 +350,18 @@ func sortZPackets(zs []*wire.ZPacket) {
 // SecretBytes flattens s-packet payload rows into the session secret byte
 // string.
 func SecretBytes(secret [][]Sym) []byte {
-	var out []byte
+	n := 0
 	for _, row := range secret {
-		out = append(out, gf.Bytes16(row)...)
+		n += 2 * len(row)
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]byte, n)
+	off := 0
+	for _, row := range secret {
+		gf.Bytes16Into(out[off:], row)
+		off += 2 * len(row)
 	}
 	return out
 }

@@ -43,6 +43,13 @@ func archAddMulPlanar16(dst, src *uint16, strips int, t *nib16) {
 	gf16AddMulPlanarAVX2(dst, src, strips, t)
 }
 
+// symbols16Accel gates the byte-to-symbol conversion kernel: whole
+// 32-byte blocks of a Symbols16Into payload go through archSymbols16.
+var symbols16Accel = hasAVX2()
+
+func archSymbols16(dst *uint16, src *uint8, blocks int) { symbols16AVX2(dst, src, blocks) }
+func archBytes16(dst *uint8, src *uint16, blocks int)   { bytes16AVX2(dst, src, blocks) }
+
 // Fused multi-source shims: strips of fusedStripBytes; srcs points at an
 // array of 2 or 4 source pointers, ts at as many contiguous nibble
 // tables.
@@ -111,6 +118,18 @@ func gf16AddMulAVX2(dst, src *uint16, blocks int, t *nib16)
 
 //go:noescape
 func gf16MulAVX2(dst, src *uint16, blocks int, t *nib16)
+
+// symbols16AVX2 converts blocks*32 big-endian payload bytes into
+// blocks*16 symbols. dst and src must not overlap.
+//
+//go:noescape
+func symbols16AVX2(dst *uint16, src *uint8, blocks int)
+
+// bytes16AVX2 is the inverse conversion, blocks*16 symbols into
+// blocks*32 big-endian bytes: the same byte-pair swap.
+//
+//go:noescape
+func bytes16AVX2(dst *uint8, src *uint16, blocks int)
 
 // The planar single-source strip kernel: strips*64 words, tables
 // broadcast once per call. dst and src must not overlap (AddMul only).

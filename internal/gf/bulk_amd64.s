@@ -495,6 +495,39 @@ gf16planar_loop:
 	VZEROUPPER
 	RET
 
+// Byte-pair swap pattern for VPSHUFB: output byte 2k takes input byte
+// 2k+1 and vice versa, in each 16-byte lane.
+DATA swap16Pattern<>+0x00(SB)/8, $0x0607040502030001
+DATA swap16Pattern<>+0x08(SB)/8, $0x0e0f0c0d0a0b0809
+DATA swap16Pattern<>+0x10(SB)/8, $0x0607040502030001
+DATA swap16Pattern<>+0x18(SB)/8, $0x0e0f0c0d0a0b0809
+GLOBL swap16Pattern<>(SB), RODATA|NOPTR, $32
+
+// func symbols16AVX2(dst *uint16, src *uint8, blocks int)
+// dst[i] = src[2i]<<8 | src[2i+1] over blocks*32 bytes: big-endian byte
+// pairs into native little-endian words, one VPSHUFB per 16 symbols.
+TEXT ·symbols16AVX2(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ blocks+16(FP), CX
+	VMOVDQU swap16Pattern<>(SB), Y1
+
+symbols16Loop:
+	VMOVDQU (SI), Y0
+	VPSHUFB Y1, Y0, Y0
+	VMOVDQU Y0, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	DECQ    CX
+	JNZ     symbols16Loop
+	VZEROUPPER
+	RET
+
+// func bytes16AVX2(dst *uint8, src *uint16, blocks int)
+// The inverse conversion is the same byte-pair swap.
+TEXT ·bytes16AVX2(SB), NOSPLIT, $0-24
+	JMP ·symbols16AVX2(SB)
+
 // func cpuidex(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuidex(SB), NOSPLIT, $0-24
 	MOVL eaxIn+0(FP), AX

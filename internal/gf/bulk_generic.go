@@ -39,3 +39,10 @@ func archAddMul2x16(dst *uint16, srcs **uint16, strips int, ts *nib16) {
 func archAddMul4x16(dst *uint16, srcs **uint16, strips int, ts *nib16) {
 	panic("gf: no arch kernel")
 }
+
+// No conversion kernel: Symbols16Into and Bytes16Into stay on their
+// word-wise loops.
+const symbols16Accel = false
+
+func archSymbols16(dst *uint16, src *uint8, blocks int) { panic("gf: no arch kernel") }
+func archBytes16(dst *uint8, src *uint16, blocks int)   { panic("gf: no arch kernel") }

@@ -2,6 +2,7 @@ package gf
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
@@ -162,6 +163,36 @@ func FuzzAddMulSlice(f *testing.F) {
 			if want16[i] != got16[i] {
 				t.Fatalf("gf16 kernel %q MulSlice diverges from generic (n=%d c=%d i=%d)", f16.Kernel(), len(d16), c16, i)
 			}
+		}
+	})
+}
+
+// FuzzSymbols16 differential-tests the byte-to-symbol conversion
+// (Symbols16Into, and Symbols16 over it) against the per-symbol
+// big-endian loop, at arbitrary payloads and source and destination
+// offsets, and checks Bytes16 inverts it.
+func FuzzSymbols16(f *testing.F) {
+	f.Add([]byte{0x12, 0x34, 0xab, 0xcd, 0x00, 0xff}, byte(0), byte(0))
+	f.Add(bytes.Repeat([]byte{0xa5, 0x3c, 0x11}, 45), byte(3), byte(1))
+	f.Fuzz(func(t *testing.T, data []byte, srcOff, dstOff byte) {
+		so, do := int(srcOff%8), int(dstOff%4)
+		if so > len(data) {
+			so = len(data)
+		}
+		b := data[so:]
+		b = b[:len(b)&^1]
+		want := symbols16Ref(b)
+		dst := make([]uint16, do+len(want)+1)
+		dst[len(dst)-1] = 0xbeef
+		Symbols16Into(dst[do:], b)
+		if !slices.Equal(dst[do:do+len(want)], want) || dst[len(dst)-1] != 0xbeef {
+			t.Fatalf("Symbols16Into(%x) = %v, want %v", b, dst[do:], want)
+		}
+		if got := Symbols16(b); !slices.Equal(got, want) {
+			t.Fatalf("Symbols16(%x) = %v, want %v", b, got, want)
+		}
+		if got := Bytes16(want); !bytes.Equal(got, b) {
+			t.Fatalf("Bytes16(%v) = %x, want %x", want, got, b)
 		}
 	})
 }

@@ -1,7 +1,10 @@
 package gf
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -271,6 +274,75 @@ func TestSymbols16OddPanics(t *testing.T) {
 		}
 	}()
 	Symbols16([]byte{1, 2, 3})
+}
+
+// symbols16Ref is the per-symbol reference Symbols16Into must match.
+func symbols16Ref(b []byte) []uint16 {
+	out := make([]uint16, len(b)/2)
+	for i := range out {
+		out[i] = binary.BigEndian.Uint16(b[2*i:])
+	}
+	return out
+}
+
+// TestSymbols16IntoMatchesReference checks the word-wise conversion
+// against a per-symbol loop for every symbol count 0..67 — every split
+// into 16-symbol kernel blocks, four-symbol words and single-symbol tail
+// — at unaligned source and destination offsets, and checks dst past the
+// payload is untouched. Bytes16Into must invert it at the same offsets.
+func TestSymbols16IntoMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	const guard = 0xdead
+	for n := 0; n <= 67; n++ {
+		for so := 0; so < 8; so++ {
+			for do := 0; do < 4; do++ {
+				src := make([]byte, so+2*n)
+				rng.Read(src)
+				b := src[so:]
+				dstBase := make([]uint16, do+n+3)
+				for i := range dstBase {
+					dstBase[i] = guard
+				}
+				Symbols16Into(dstBase[do:], b)
+				want := symbols16Ref(b)
+				for i := range dstBase {
+					w := uint16(guard)
+					if i >= do && i < do+n {
+						w = want[i-do]
+					}
+					if dstBase[i] != w {
+						t.Fatalf("n=%d so=%d do=%d: dst[%d] = %#04x, want %#04x", n, so, do, i, dstBase[i], w)
+					}
+				}
+				if got := Symbols16(b); !slices.Equal(got, want) {
+					t.Fatalf("n=%d so=%d: Symbols16 = %v, want %v", n, so, got, want)
+				}
+				back := make([]byte, so+2*n+1)
+				back[len(back)-1] = 0x5a
+				Bytes16Into(back[so:], dstBase[do:do+n])
+				if !bytes.Equal(back[so:so+2*n], b) || back[len(back)-1] != 0x5a {
+					t.Fatalf("n=%d so=%d do=%d: Bytes16Into = %x, want %x", n, so, do, back[so:], b)
+				}
+			}
+		}
+	}
+}
+
+func TestSymbols16IntoPanics(t *testing.T) {
+	for name, call := range map[string]func(){
+		"odd payload": func() { Symbols16Into(make([]uint16, 2), []byte{1, 2, 3}) },
+		"short dst":   func() { Symbols16Into(make([]uint16, 1), []byte{1, 2, 3, 4}) },
+		"short bytes": func() { Bytes16Into(make([]byte, 3), []uint16{1, 2}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s did not panic", name)
+				}
+			}()
+			call()
+		}()
+	}
 }
 
 func BenchmarkAddMulSliceGF256(b *testing.B) {

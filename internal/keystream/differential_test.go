@@ -2,6 +2,8 @@ package keystream
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"io"
 	"math/rand"
 	"testing"
@@ -61,6 +63,32 @@ func TestStreamMatchesReference(t *testing.T) {
 	}
 	if st.Blocks < nblocks {
 		t.Fatalf("stats count %d blocks, want >= %d", st.Blocks, nblocks)
+	}
+}
+
+// TestReferenceBlockKnownAnswer pins the stream bytes of the
+// BENCH_stream session shape (3 terminals, 128 x-packets of 4 KiB per
+// round, erasure 0.45, 128 KiB blocks, seed 4242): the SHA-256 of the
+// first 256 bytes of block 0. A change to the x-payload generator,
+// Delivered, BlockSeed or block framing, or a toolchain that moves any of
+// them, fails here, and must bump DerivationVersion along with this
+// value.
+func TestReferenceBlockKnownAnswer(t *testing.T) {
+	if DerivationVersion != 2 {
+		t.Fatalf("DerivationVersion = %d: re-record this known answer for the new version", DerivationVersion)
+	}
+	cfg := Config{
+		Terminals: 3, XPerRound: 128, PayloadBytes: 4096, Erasure: 0.45,
+		Seed: 4242, Rotate: true, BlockSize: 128 << 10,
+	}
+	block := make([]byte, cfg.BlockSize)
+	if err := ReferenceBlock(cfg, 0, block); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(block[:256])
+	const want = "9a8d805d8ce5e2426880b4a34e9040aebfc9c768a8083a8abfbd22320afd4266"
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Fatalf("block 0 prefix SHA-256 = %s, want %s (derivation version %d)", got, want, DerivationVersion)
 	}
 }
 

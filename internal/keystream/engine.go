@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/gf"
 	"repro/internal/packet"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -92,10 +91,29 @@ func (h *memberHealth) miss(t int) {
 // BlockContext carries the stream-level machinery a block derivation (or
 // a custom Source) runs against.
 type BlockContext struct {
-	cfg    *Config
-	es     *engineStats
-	health *memberHealth
-	ins    *streamInstruments
+	cfg          *Config
+	es           *engineStats
+	health       *memberHealth
+	ins          *streamInstruments
+	arenas       *sync.Pool
+	leaderArenas *sync.Pool
+}
+
+// leaderArena is the leader's storage for one round's x-payloads: the
+// bytes packet.NewBatchInto generates and the symbols core.XSymbolsInto
+// converts them to. It goes back to the stream's pool once the round's
+// leader computation no longer reads the symbols.
+type leaderArena struct {
+	bytes []byte
+	syms  []core.Sym
+}
+
+func (bc *BlockContext) getLeaderArena() *leaderArena {
+	if la, ok := bc.leaderArenas.Get().(*leaderArena); ok {
+		return la
+	}
+	n := bc.cfg.XPerRound * bc.cfg.PayloadBytes
+	return &leaderArena{bytes: make([]byte, n), syms: make([]core.Sym, n/2)}
 }
 
 // Config returns the stream's (filled) configuration.
@@ -103,7 +121,10 @@ func (bc *BlockContext) Config() *Config { return bc.cfg }
 
 // derive produces block idx into dst via the configured source.
 func (s *Stream) derive(idx int64, dst []byte) error {
-	bc := &BlockContext{cfg: &s.cfg, es: &s.es, health: s.health, ins: &s.ins}
+	bc := &BlockContext{
+		cfg: &s.cfg, es: &s.es, health: s.health, ins: &s.ins,
+		arenas: &s.arenas, leaderArenas: &s.leaderArenas,
+	}
 	if s.cfg.Source != nil {
 		return s.cfg.Source(bc, idx, dst)
 	}
@@ -115,6 +136,7 @@ func (s *Stream) derive(idx int64, dst []byte) error {
 type exchRound struct {
 	round int
 	xSym  [][]core.Sym
+	arena *leaderArena // backs xSym
 }
 
 // verifyResult is one terminal's derived secret for one round.
@@ -273,6 +295,7 @@ func (bc *BlockContext) deriveProtocol(idx int64, dst []byte) error {
 		plan := core.BuildPlan(ectx, cc.Estimator)
 		bc.es.rounds.Add(1)
 		if plan.L == 0 {
+			bc.leaderArenas.Put(er.arena)
 			bc.es.aborted.Add(1)
 			if computeTimed {
 				bc.ins.computeLat.ObserveSince(computeT0)
@@ -290,6 +313,7 @@ func (bc *BlockContext) deriveProtocol(idx int64, dst []byte) error {
 		}
 		consecAborts = 0
 		lr := core.ComputeLeaderRound(plan, er.xSym)
+		bc.leaderArenas.Put(er.arena) // lr holds fresh rows: nothing reads the x-payloads after this
 		secret := core.SecretBytes(lr.Secret)
 		if computeTimed {
 			bc.ins.computeLat.ObserveSince(computeT0)
@@ -371,10 +395,10 @@ func (bc *BlockContext) exchange(ctx context.Context, ep transport.Endpoint, r, 
 	cfg := bc.cfg
 	h := wire.Header{From: uint8(leader), Session: session, Round: uint16(r)}
 	rng := rand.New(rand.NewSource(blockSeed + int64(r)*65537 + int64(leader)))
-	batch := packet.NewBatch(rng, cfg.XPerRound, cfg.PayloadBytes)
-	xSym := make([][]core.Sym, cfg.XPerRound)
-	for i, pkt := range batch {
-		xSym[i] = gf.Symbols16(pkt.Payload)
+	la := bc.getLeaderArena()
+	batch := packet.NewBatchInto(la.bytes, rng, cfg.XPerRound, cfg.PayloadBytes)
+	xSym := core.XSymbolsInto(la.syms, batch)
+	for _, pkt := range batch {
 		xh := h
 		xh.Type = wire.TypeX
 		if err := ep.SendData(wire.Marshal(&wire.XPacket{Header: xh, Seq: uint32(pkt.ID), Payload: pkt.Payload})); err != nil {
@@ -387,7 +411,7 @@ func (bc *BlockContext) exchange(ctx context.Context, ep transport.Endpoint, r, 
 		return exchRound{}, err
 	}
 	bc.collectReports(ctx, ep, r, leader, session)
-	return exchRound{round: r, xSym: xSym}, nil
+	return exchRound{round: r, xSym: xSym, arena: la}, nil
 }
 
 // collectReports waits — up to AckWait, tightened to AckSlack once the
@@ -462,7 +486,7 @@ func (bc *BlockContext) collectReports(ctx context.Context, ep transport.Endpoin
 
 // termRound is a terminal's in-flight state for one round.
 type termRound struct {
-	recvX map[packet.ID][]core.Sym
+	recvX *core.XArena
 	ya    *wire.YAnnounce
 	zs    []*wire.ZPacket
 	sa    *wire.SAnnounce
@@ -484,10 +508,23 @@ func (bc *BlockContext) runTerminal(ep transport.Endpoint, self, leader int, ses
 	state := func(r int) *termRound {
 		st, ok := rounds[r]
 		if !ok {
-			st = &termRound{recvX: make(map[packet.ID][]core.Sym)}
+			st = &termRound{}
+			if a, ok := bc.arenas.Get().(*core.XArena); ok {
+				st.recvX = a
+			} else {
+				st.recvX = core.NewXArena(bc.cfg.XPerRound)
+			}
 			rounds[r] = st
 		}
 		return st
+	}
+	// drop retires round r and recycles its arena: past this point
+	// nothing reads its rows (the receive half copied what it needed into
+	// the scratch).
+	drop := func(r int, st *termRound) {
+		delete(rounds, r)
+		st.recvX.Reset()
+		bc.arenas.Put(st.recvX)
 	}
 	finish := func(r int, st *termRound) {
 		m := 0
@@ -505,7 +542,7 @@ func (bc *BlockContext) runTerminal(ep transport.Endpoint, self, leader int, ses
 			}
 		}
 		verifyCh <- res
-		delete(rounds, r)
+		drop(r, st)
 	}
 
 	for env := range ep.Recv() {
@@ -532,22 +569,20 @@ func (bc *BlockContext) runTerminal(ep transport.Endpoint, self, leader int, ses
 					if st.ya != nil {
 						verifyCh <- verifyResult{round: old}
 					}
-					delete(rounds, old)
+					drop(old, st)
 				}
 			}
 		}
 		switch mm := m.(type) {
 		case *wire.XPacket:
-			if len(mm.Payload)%2 == 0 {
-				state(r).recvX[packet.ID(mm.Seq)] = gf.Symbols16(mm.Payload)
-			}
+			state(r).recvX.Put(mm.Seq, mm.Payload)
 		case *wire.Beacon:
 			switch mm.Kind {
 			case wire.BeaconEndOfX:
 				st := state(r)
 				numX := int(mm.Value)
 				mine := packet.NewIDSet(numX)
-				for id := range st.recvX {
+				for id := range st.recvX.Rows {
 					if int(id) < numX {
 						mine.Add(id)
 					}
@@ -557,12 +592,14 @@ func (bc *BlockContext) runTerminal(ep transport.Endpoint, self, leader int, ses
 				// fine — the leader's deadline does not depend on us.
 				ep.SendCtrl(wire.Marshal(&wire.AckReport{Header: ah, NumX: uint32(numX), Bitmap: mine.Words()}))
 			case wire.BeaconRoundAbort:
-				delete(rounds, r) // unproductive round: nothing to verify
+				if st, ok := rounds[r]; ok {
+					drop(r, st) // unproductive round: nothing to verify
+				}
 			}
 		case *wire.YAnnounce:
 			st := state(r)
 			st.ya = mm
-			pr, err := core.ReceiveRoundInto(&scratch[r%2], st.recvX, mm)
+			pr, err := core.ReceiveRoundInto(&scratch[r%2], st.recvX.Rows, mm)
 			if err == nil {
 				st.pr = pr
 				st.recvd = true

@@ -33,6 +33,20 @@ import (
 	"repro/internal/transport"
 )
 
+// DerivationVersion names the function from (stream seed, offset) to
+// stream bytes. It covers the x-payload generator (packet.NewBatch:
+// ChaCha8 keyed from the round's seeded rng), the erasure schedule
+// Delivered, BlockSeed, and the block framing (rounds run until a block's
+// secret covers BlockSize bytes; the tail is discarded). Any change that
+// alters a byte of any stream must bump it, so that state persisted under
+// one version (the cluster journal records it per session) is refused by
+// a build that would re-derive different bytes. The known-answer tests
+// pin the current version's bytes.
+//
+// Version 1 drew x-payloads one math/rand Intn(256) call per byte;
+// version 2 fills them in bulk with ChaCha8.
+const DerivationVersion = 2
+
 // ErrClosed is returned by reads on a closed stream.
 var ErrClosed = errors.New("keystream: stream closed")
 
@@ -279,6 +293,13 @@ type Stream struct {
 	stats  Stats       // cache-side counters, guarded by mu
 	es     engineStats // derivation-side counters, atomic
 	ins    streamInstruments
+	// arenas recycles the terminals' per-round x-payload arenas
+	// (*core.XArena) and leaderArenas the leader's (*leaderArena) across
+	// rounds and blocks. At the BENCH_stream shape a fresh 512 KiB arena
+	// per round cost about as much CPU (zeroing, page faults, GC) as
+	// filling it with ChaCha8.
+	arenas       sync.Pool
+	leaderArenas sync.Pool
 }
 
 // New starts a stream: cfg.Workers derivation workers begin prefetching

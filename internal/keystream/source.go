@@ -65,11 +65,7 @@ func ReferenceBlock(cfg Config, idx int64, dst []byte) error {
 	consecAborts := 0
 	for r := 0; r < 1<<16 && written < len(dst); r++ {
 		rng := rand.New(rand.NewSource(blockSeed + int64(r)*65537 + int64(leader)))
-		batch := packet.NewBatch(rng, cfg.XPerRound, cfg.PayloadBytes)
-		xSym := make([][]core.Sym, cfg.XPerRound)
-		for i, pkt := range batch {
-			xSym[i] = gf.Symbols16(pkt.Payload)
-		}
+		xSym := core.XSymbols(packet.NewBatch(rng, cfg.XPerRound, cfg.PayloadBytes))
 		recv := scheduleRecv(blockSeed, r, leader, cfg.Terminals, cfg.XPerRound, cfg.Erasure)
 		ectx := &core.EstimatorContext{
 			Terminals: cfg.Terminals,

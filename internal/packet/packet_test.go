@@ -1,6 +1,8 @@
 package packet
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -27,6 +29,49 @@ func TestRandomPayloadAndBatch(t *testing.T) {
 	// Payloads should differ (overwhelmingly likely).
 	if string(batch[0].Payload) == string(batch[1].Payload) {
 		t.Fatal("two random payloads identical")
+	}
+}
+
+// TestNewBatchKnownAnswer pins the x-payload generator's bytes. Every
+// stream byte depends on them, so a change here — a different generator,
+// key schedule or arena layout, or a toolchain whose ChaCha8 output
+// moved — must come with a keystream.DerivationVersion bump.
+func TestNewBatchKnownAnswer(t *testing.T) {
+	h := sha256.New()
+	for _, pkt := range NewBatch(rand.New(rand.NewSource(1)), 4, 64) {
+		h.Write(pkt.Payload)
+	}
+	const want = "6a2064c1c03026dbcb57098949102b37dd3875766d9c562951a4de7fe1b6b547"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("NewBatch(seed 1, 4, 64) SHA-256 = %s, want %s", got, want)
+	}
+}
+
+// TestNewBatchPayloadsDisjoint checks the payloads are capped, disjoint
+// sub-slices of the batch arena: growing one reallocates it instead of
+// writing into the next packet's bytes, and the rng advances by the same
+// four draws whatever the batch shape.
+func TestNewBatchPayloadsDisjoint(t *testing.T) {
+	batch := NewBatch(rand.New(rand.NewSource(2)), 3, 8)
+	next := string(batch[1].Payload)
+	for i, pkt := range batch {
+		if cap(pkt.Payload) != 8 {
+			t.Fatalf("payload %d has cap %d, want 8", i, cap(pkt.Payload))
+		}
+	}
+	grown := append(batch[0].Payload, 0xAA, 0xBB)
+	if string(batch[1].Payload) != next {
+		t.Fatal("appending to payload 0 overwrote payload 1")
+	}
+	if &grown[0] == &batch[0].Payload[0] {
+		t.Fatal("append to a capped payload did not reallocate")
+	}
+
+	a, b := rand.New(rand.NewSource(3)), rand.New(rand.NewSource(3))
+	NewBatch(a, 1, 2)
+	NewBatch(b, 16, 4096)
+	if a.Uint64() != b.Uint64() {
+		t.Fatal("NewBatch consumed a shape-dependent number of rng draws")
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/auth"
 	"repro/internal/core"
-	"repro/internal/gf"
 	"repro/internal/obs"
 	"repro/internal/packet"
 	"repro/internal/wire"
@@ -128,6 +127,8 @@ type node struct {
 	// so a long-lived daemon node combines packets without per-round
 	// allocation churn.
 	scratch *core.RoundScratch
+	// recvX holds a terminal's received x-payloads, reset every round.
+	recvX *core.XArena
 }
 
 func (n *node) header(round int) wire.Header {
@@ -214,9 +215,8 @@ func (n *node) leaderRound(ctx context.Context, round int) error {
 	// Phase 1 step 1: broadcast fresh x-packets.
 	rng := rand.New(rand.NewSource(cfg.Seed + int64(round)*65537 + int64(cfg.Self)))
 	batch := packet.NewBatch(rng, cfg.XPerRound, cfg.PayloadBytes)
-	xSym := make([][]core.Sym, cfg.XPerRound)
-	for i, pkt := range batch {
-		xSym[i] = gf.Symbols16(pkt.Payload)
+	xSym := core.XSymbols(batch)
+	for _, pkt := range batch {
 		xh := h
 		xh.Type = wire.TypeX
 		if err := n.ep.SendData(wire.Marshal(&wire.XPacket{Header: xh, Seq: uint32(pkt.ID), Payload: pkt.Payload})); err != nil {
@@ -284,7 +284,11 @@ func (n *node) leaderRound(ctx context.Context, round int) error {
 
 func (n *node) terminalRound(ctx context.Context, round, leader int) error {
 	// Phase 1 step 1: collect x-packets until the end-of-X beacon.
-	xPayloads := make(map[packet.ID][]core.Sym)
+	if n.recvX == nil {
+		n.recvX = core.NewXArena(n.cfg.XPerRound)
+	}
+	xPayloads := n.recvX
+	xPayloads.Reset()
 	numX := -1
 	for numX < 0 {
 		m, err := n.next(ctx, round, func(m wire.Message) bool {
@@ -304,9 +308,7 @@ func (n *node) terminalRound(ctx context.Context, round, leader int) error {
 		}
 		switch mm := m.(type) {
 		case *wire.XPacket:
-			if len(mm.Payload)%2 == 0 {
-				xPayloads[packet.ID(mm.Seq)] = gf.Symbols16(mm.Payload)
-			}
+			xPayloads.Put(mm.Seq, mm.Payload)
 		case *wire.Beacon:
 			numX = int(mm.Value)
 		}
@@ -314,7 +316,7 @@ func (n *node) terminalRound(ctx context.Context, round, leader int) error {
 
 	// Phase 1 step 2: report receptions.
 	mine := packet.NewIDSet(numX)
-	for id := range xPayloads {
+	for id := range xPayloads.Rows {
 		if int(id) < numX {
 			mine.Add(id)
 		}
@@ -378,7 +380,7 @@ func (n *node) terminalRound(ctx context.Context, round, leader int) error {
 		zs = append(zs, msg.(*wire.ZPacket))
 	}
 
-	secretRows, err := core.ComputeTerminalSecretInto(n.scratch, xPayloads, ya, zs, sa)
+	secretRows, err := core.ComputeTerminalSecretInto(n.scratch, xPayloads.Rows, ya, zs, sa)
 	if err != nil {
 		return err
 	}

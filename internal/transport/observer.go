@@ -31,12 +31,17 @@ type Observer struct {
 
 type observerRound struct {
 	numX int
-	x    map[uint32][]core.Sym
+	x    *core.XArena
 	ya   *wire.YAnnounce
 	zs   []*wire.ZPacket
 	sa   *wire.SAnnounce
 	done bool
 }
+
+// observerSlabRows sizes the observer's per-round payload arena slabs.
+// Unlike a terminal, the observer learns a round's x-packet count only
+// at the end-of-X beacon, after the payloads it sizes the arena for.
+const observerSlabRows = 64
 
 // NewObserver creates an observer for one session.
 func NewObserver(session uint32) *Observer {
@@ -91,13 +96,13 @@ func (o *Observer) Ingest(env Env) {
 	}
 	r := o.rounds[h.Round]
 	if r == nil {
-		r = &observerRound{x: make(map[uint32][]core.Sym)}
+		r = &observerRound{x: core.NewXArena(observerSlabRows)}
 		o.rounds[h.Round] = r
 	}
 	switch mm := m.(type) {
 	case *wire.XPacket:
 		if len(mm.Payload)%2 == 0 {
-			r.x[mm.Seq] = gf.Symbols16(mm.Payload)
+			r.x.Put(mm.Seq, mm.Payload)
 			if int(mm.Seq) >= r.numX {
 				r.numX = int(mm.Seq) + 1
 			}
@@ -156,7 +161,7 @@ func (o *Observer) evaluate(r *observerRound) {
 	}
 
 	know := eve.NewKnowledge(f, r.numX)
-	for seq, payload := range r.x {
+	for seq, payload := range r.x.Rows {
 		if int(seq) < r.numX {
 			know.AddUnit(int(seq), payload)
 		}

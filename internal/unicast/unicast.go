@@ -63,7 +63,7 @@ func RunSession(cfg core.Config, med *radio.Medium, eveNodes []radio.NodeID) (*c
 
 		// Phase 1 is identical to the group protocol.
 		batch := packet.NewBatch(rng, cfg.XPerRound, cfg.PayloadBytes)
-		xSym := make([][]Sym, cfg.XPerRound)
+		xSym := core.XSymbols(batch)
 		recv := make([]*packet.IDSet, n)
 		for i := range recv {
 			recv[i] = packet.NewIDSet(cfg.XPerRound)
@@ -75,7 +75,6 @@ func RunSession(cfg core.Config, med *radio.Medium, eveNodes []radio.NodeID) (*c
 			if i > 0 && i%perSlot == 0 {
 				med.AdvanceSlot()
 			}
-			xSym[i] = gf.Symbols16(pkt.Payload)
 			xh := h
 			xh.Type = wire.TypeX
 			frame := wire.Marshal(&wire.XPacket{Header: xh, Seq: uint32(pkt.ID), Payload: pkt.Payload})
@@ -150,10 +149,7 @@ func RunSession(cfg core.Config, med *radio.Medium, eveNodes []radio.NodeID) (*c
 			continue
 		}
 		info.L = keyLen
-		secret := make([][]Sym, keyLen)
-		for k := range secret {
-			secret[k] = gf.Symbols16(packet.RandomPayload(rng, cfg.PayloadBytes))
-		}
+		secret := core.XSymbols(packet.NewBatch(rng, keyLen, cfg.PayloadBytes))
 		// Joint source space for Eve: the N x-packets plus the fresh key
 		// packets.
 		know := eve.NewKnowledge(f, cfg.XPerRound+keyLen)
